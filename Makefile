@@ -2,17 +2,17 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet doccheck race bench bench-hot bench-scan bench-scan-smoke bench-shuffle bench-serve bench-fleet bench-fleet-smoke bench-ingest bench-ingest-smoke bench-knn bench-knn-smoke bench-dag bench-dag-smoke experiments examples clean
+.PHONY: all check build test test-short vet doccheck race perfbench-check bench bench-hot bench-scan bench-scan-smoke bench-shuffle bench-serve bench-fleet bench-fleet-smoke bench-ingest bench-ingest-smoke bench-knn bench-knn-smoke bench-dag bench-dag-smoke experiments examples clean
 
 all: check
 
 # The full gate: compile everything, vet, enforce package docs (and the
 # README knob reference), run the test suite, re-run the concurrency-heavy
-# packages under the race detector, and smoke the DAG scheduler's
-# cache-reuse win, the compact scan kernels, the sharded-fleet serving
-# path, the streaming-ingest path, and the kNN-join (both arms,
-# bit-identity checked).
-check: build vet doccheck test race bench-dag-smoke bench-scan-smoke bench-fleet-smoke bench-ingest-smoke bench-knn-smoke
+# packages under the race detector, compile and test the benchmark module,
+# and smoke the DAG scheduler's cache-reuse win, the compact scan kernels,
+# the sharded-fleet serving path, the streaming-ingest path, and the
+# kNN-join (both arms, bit-identity checked).
+check: build vet doccheck test race perfbench-check bench-dag-smoke bench-scan-smoke bench-fleet-smoke bench-ingest-smoke bench-knn-smoke
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ test-short:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/...
 
+# perfbench/ is a nested module (it replaces repro with ../), so the root
+# `go build ./...` never compiles it: an internal API it calls can vanish
+# without any other target noticing. Vet and test it with the module
+# settings perfbench/run.sh builds it under.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./... && \
+		GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -59,20 +67,20 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/
 
 # Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN,
-# multi-query NNBatch, top-k selection, and compact ρ accumulation
-# (numbers feed BENCH_PR7.json / BENCH_PR10.json alongside the end-to-end
-# sweeps).
+# multi-query NNBatch, and top-k selection (numbers feed BENCH_PR7.json /
+# BENCH_PR10.json alongside the end-to-end sweeps).
 bench-scan:
-	$(GO) test -bench 'NNScan|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
+	$(GO) test -bench 'NNScan|NNBatch|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/
 
 # One fast iteration per scan benchmark for the check gate and CI: catches
 # a compact kernel that stops compiling or panics on real shapes.
 bench-scan-smoke:
-	$(GO) test -bench 'NNScan|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
+	$(GO) test -bench 'NNScan|NNBatch|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
 
-# Shuffle transport comparison: legacy gob-RPC vs framed-TCP streaming vs
-# framed+flate, at 1/16/64MB partitions (numbers recorded in BENCH_PR3.json).
+# Shuffle transport comparison: framed-TCP streaming vs framed+flate, at
+# 1/16/64MB partitions (numbers recorded in BENCH_PR3.json, which also
+# holds the since-removed gob-RPC arm).
 bench-shuffle:
 	$(GO) test -bench BenchmarkShuffleTransport -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/mapreduce/rpcmr/

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/kernels"
 	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -94,6 +95,15 @@ func newJoinFlags(name string) *joinFlags {
 	}
 }
 
+// parse parses the subcommand's flags and rejects a bad -scan before any
+// input is read.
+func (jf *joinFlags) parse(args []string) {
+	jf.fs.Parse(args)
+	if !kernels.ValidScanPrecision(*jf.scan) {
+		fatal(fmt.Errorf("unknown -scan %q (want %s or %s)", *jf.scan, kernels.ScanF64, kernels.ScanF32))
+	}
+}
+
 func (jf *joinFlags) config() knnjoin.Config {
 	cfg := knnjoin.Config{
 		M:             *jf.m,
@@ -148,7 +158,7 @@ func runJoin(args []string) {
 	sFile := jf.fs.String("s", "", "base-side CSV (required)")
 	labeled := jf.fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
 	exact := jf.fs.Bool("exact", false, "run the broadcast-naive exact join instead of the bucketed one")
-	jf.fs.Parse(args)
+	jf.parse(args)
 	if *rFile == "" || *sFile == "" {
 		fatal(fmt.Errorf("join needs -r and -s"))
 	}
@@ -185,7 +195,7 @@ func runOutliers(args []string) {
 	input := jf.fs.String("input", "", "input CSV (required)")
 	labeled := jf.fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
 	top := jf.fs.Int("top", 10, "how many outliers to report")
-	jf.fs.Parse(args)
+	jf.parse(args)
 	if *input == "" {
 		fatal(fmt.Errorf("outliers needs -input"))
 	}
@@ -211,7 +221,7 @@ func runKDist(args []string) {
 	jf := newJoinFlags("kdist")
 	input := jf.fs.String("input", "", "input CSV (required)")
 	labeled := jf.fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
-	jf.fs.Parse(args)
+	jf.parse(args)
 	if *input == "" {
 		fatal(fmt.Errorf("kdist needs -input"))
 	}
@@ -239,7 +249,7 @@ func runScore(args []string) {
 	input := jf.fs.String("input", "", "input CSV (required)")
 	centFile := jf.fs.String("centroids", "", "centroid CSV (required)")
 	labeled := jf.fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
-	jf.fs.Parse(args)
+	jf.parse(args)
 	if *input == "" || *centFile == "" {
 		fatal(fmt.Errorf("score needs -input and -centroids"))
 	}

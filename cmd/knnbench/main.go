@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/kernels"
 	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -68,6 +69,9 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit one JSON report on stdout")
 	)
 	flag.Parse()
+	if !kernels.ValidScanPrecision(*scan) {
+		fatal(fmt.Errorf("unknown -scan %q (want %s or %s)", *scan, kernels.ScanF64, kernels.ScanF32))
+	}
 
 	ds := dataset.Blobs("knnbench", *n+*nq, *dim, *centers, 400, 5, *seed)
 	R, S, err := dataset.Split(ds, *nq, *seed+1)

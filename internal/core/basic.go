@@ -53,9 +53,6 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 points, have %d", ds.N())
 	}
-	if err := checkScanPrecision(&cfg.Config); err != nil {
-		return nil, err
-	}
 	sess := cfg.DagSession()
 	mark := MarkRunner(sess.Runner())
 	traceMark := len(sess.Traces())
@@ -73,7 +70,6 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf.SetInt(confBlocks, nBlocks)
 	setKernelConf(conf, cfg.Kernel)
 	setParallelConf(conf, &cfg.Config)
-	setScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("basic-ddp")
 	partials := g.Job(BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -184,19 +180,8 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// Diagonal pair (l, l) over local rows [0, nLocal), then cross
 			// pairs visitors × local — the same evaluation order as the
 			// scalar loops, so partials stay bit-identical.
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				p1, r1 := kernels.RhoAccumulate32(m, c, 0, nLocal, kern, rho)
-				p2, r2 := kernels.RhoCross32(m, c, nLocal, n, 0, nLocal, kern, rho, true)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.RhoAccumulateAuto(m, 0, nLocal, kern, rho, par)
-				nd += kernels.RhoCross(m, nLocal, n, 0, nLocal, kern, rho, true)
-			}
+			nd := kernels.RhoAccumulateAuto(m, 0, nLocal, kern, rho, par)
+			nd += kernels.RhoCross(m, nLocal, n, 0, nLocal, kern, rho, true)
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < n; i++ {
 				if i >= nLocal && rho[i] == 0 {
@@ -295,21 +280,8 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			acc := kernels.NewDeltaAcc(n, true)
 			// Diagonal pair over local rows, then visitors × local — the
 			// same evaluation order as the scalar loops.
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				p1, r1 := kernels.DeltaArgmin32(m, c, 0, nLocal, acc, &band)
-				p2, r2 := kernels.DeltaCross32(m, c, nLocal, n, 0, nLocal, acc, &band)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.DeltaArgminAuto(m, 0, nLocal, acc, par)
-				nd += kernels.DeltaCross(m, nLocal, n, 0, nLocal, acc)
-			}
+			nd := kernels.DeltaArgminAuto(m, 0, nLocal, acc, par)
+			nd += kernels.DeltaCross(m, nLocal, n, 0, nLocal, acc)
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < n; i++ {
 				id := m.ID(i)

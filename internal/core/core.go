@@ -181,15 +181,6 @@ type Config struct {
 	// ParallelWorkers bounds the per-group worker pool; <=0 means
 	// GOMAXPROCS (capped at 16). Only meaningful with ParallelThreshold.
 	ParallelWorkers int
-	// ScanPrecision selects the reducer-side pairwise scan representation
-	// (conf key "mr.scan.precision"): "" or "f64" keeps the float64
-	// kernels; "f32" streams a float32 mirror of each reducer group and
-	// re-checks only band-inconclusive pairs in float64, halving scan
-	// bandwidth. δ results and cutoff-kernel ρ stay bit-identical; Gaussian
-	// ρ is computed from the float32 distance within documented tolerance
-	// (DESIGN.md "Compact scan path"). Groups that cross ParallelThreshold
-	// use the parallel float64 kernels instead. q8 is serving-only.
-	ScanPrecision string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 	// Trace, when non-nil, collects every job's structured trace; wire it

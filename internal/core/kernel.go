@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dp"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
@@ -49,27 +47,4 @@ func parallelFromConf(conf mapreduce.Conf) kernels.Parallel {
 		Threshold: conf.GetInt(confParThreshold, 0),
 		Workers:   conf.GetInt(confParWorkers, 0),
 	}
-}
-
-// setScanConf publishes the reducer scan precision (mr.scan.precision).
-func setScanConf(conf mapreduce.Conf, cfg *Config) {
-	if cfg.ScanPrecision != "" {
-		conf[kernels.ConfScanPrecision] = cfg.ScanPrecision
-	}
-}
-
-// scanF32FromConf reports whether reducers should run the compact f32 scan
-// path. Validation happens at pipeline entry (checkScanPrecision); an
-// unknown value reaching a worker falls back to the exact f64 kernels.
-func scanF32FromConf(conf mapreduce.Conf) bool {
-	return conf[kernels.ConfScanPrecision] == kernels.ScanF32
-}
-
-// checkScanPrecision rejects knob values the reducers do not support.
-func checkScanPrecision(cfg *Config) error {
-	if !kernels.ValidScanPrecision(cfg.ScanPrecision) {
-		return fmt.Errorf("core: unknown ScanPrecision %q (reducers support \"\", %q, %q; %q is serving-only)",
-			cfg.ScanPrecision, kernels.ScanF64, kernels.ScanF32, kernels.ScanQ8)
-	}
-	return nil
 }

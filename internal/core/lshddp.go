@@ -85,9 +85,6 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 points, have %d", ds.N())
 	}
-	if err := checkScanPrecision(&cfg.Config); err != nil {
-		return nil, err
-	}
 	sess := cfg.DagSession()
 	mark := MarkRunner(sess.Runner())
 	traceMark := len(sess.Traces())
@@ -117,7 +114,6 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetInt(confMaxPart, cfg.MaxPartition)
 	setKernelConf(conf, cfg.Kernel)
 	setParallelConf(conf, &cfg.Config)
-	setScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("lsh-ddp")
 	partials := g.Job(LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -218,21 +214,8 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			rho := make([]float64, m.N())
 			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var rechecks int64
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					p, r := kernels.RhoAccumulate32(m, c, ch.Lo, ch.Hi, kern, rho)
-					nd += p
-					rechecks += r
-				}
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					nd += kernels.RhoAccumulateAuto(m, ch.Lo, ch.Hi, kern, rho, par)
-				}
+			for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
+				nd += kernels.RhoAccumulateAuto(m, ch.Lo, ch.Hi, kern, rho, par)
 			}
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < m.N(); i++ {
@@ -315,23 +298,8 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			acc := kernels.NewDeltaAcc(m.N(), false)
 			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				var rechecks int64
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					p, r := kernels.DeltaArgmin32(m, c, ch.Lo, ch.Hi, acc, &band)
-					nd += p
-					rechecks += r
-				}
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					nd += kernels.DeltaArgminAuto(m, ch.Lo, ch.Hi, acc, par)
-				}
+			for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
+				nd += kernels.DeltaArgminAuto(m, ch.Lo, ch.Hi, acc, par)
 			}
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < m.N(); i++ {

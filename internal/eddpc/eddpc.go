@@ -71,12 +71,6 @@ const (
 	confParWorkers   = "eddpc.parallel.workers"
 )
 
-// scanF32FromConf reports whether reducers should run the compact f32 scan
-// path (mr.scan.precision, validated at Run entry).
-func scanF32FromConf(conf mapreduce.Conf) bool {
-	return conf[kernels.ConfScanPrecision] == kernels.ScanF32
-}
-
 // parallelFromConf rebuilds the intra-partition parallelism knobs carried
 // in cfg.Config (core.Config) — the zero value keeps the serial kernels.
 func parallelFromConf(conf mapreduce.Conf) kernels.Parallel {
@@ -98,10 +92,6 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("eddpc: need at least 2 points, have %d", ds.N())
 	}
-	if !kernels.ValidScanPrecision(cfg.ScanPrecision) {
-		return nil, fmt.Errorf("eddpc: unknown ScanPrecision %q (reducers support \"\", %q, %q)",
-			cfg.ScanPrecision, kernels.ScanF64, kernels.ScanF32)
-	}
 	sess := cfg.DagSession()
 	mark := core.MarkRunner(sess.Runner())
 	traceMark := len(sess.Traces())
@@ -119,9 +109,6 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	conf[confPivots] = encodePivots(pivots)
 	conf.SetInt(confParThreshold, cfg.ParallelThreshold)
 	conf.SetInt(confParWorkers, cfg.ParallelWorkers)
-	if cfg.ScanPrecision != "" {
-		conf[kernels.ConfScanPrecision] = cfg.ScanPrecision
-	}
 
 	g := dag.NewGraph("eddpc")
 	// Node 1: exact ρ via boundary replication. No aggregation needed:

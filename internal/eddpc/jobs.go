@@ -127,19 +127,8 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// cutoff counts are integer sums, so splitting the interleaved
 			// scalar loop into the two kernel passes is exact.
 			rho := make([]float64, n)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				p1, r1 := kernels.RhoAccumulate32(m, c, 0, nHome, kern, rho)
-				p2, r2 := kernels.RhoCross32(m, c, 0, nHome, nHome, n, kern, rho, false)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.RhoAccumulateAuto(m, 0, nHome, kern, rho, par)
-				nd += kernels.RhoCross(m, 0, nHome, nHome, n, kern, rho, false)
-			}
+			nd := kernels.RhoAccumulateAuto(m, 0, nHome, kern, rho, par)
+			nd += kernels.RhoCross(m, 0, nHome, nHome, n, kern, rho, false)
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < nHome; i++ {
 				id := m.ID(i)
@@ -183,19 +172,7 @@ func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
 				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
 			}
 			acc := kernels.NewDeltaAcc(m.N(), false)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				var rechecks int64
-				nd, rechecks = kernels.DeltaArgmin32(m, c, 0, m.N(), acc, &band)
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				nd = kernels.DeltaArgminAuto(m, 0, m.N(), acc, par)
-			}
+			nd := kernels.DeltaArgminAuto(m, 0, m.N(), acc, par)
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)

@@ -1,12 +1,15 @@
 package kernels
 
-// Compact (float32 / 8-bit-quantized) NN scan kernels with exact float64
-// re-rank. The scan streams a compact mirror of the coordinate block —
-// half or an eighth of the float64 bytes — and collects a shortlist of
-// every row that *could* be the true nearest neighbor under a sound error
+// Compact (float32 / 8-bit-quantized) scan support with exact float64
+// re-rank. A compact scan streams a mirror of the coordinate block — half
+// or an eighth of the float64 bytes — and collects a TopKShortlist of
+// every row that *could* belong to the true top-k under a sound error
 // bound; the caller then re-ranks the shortlist with the exact float64
-// kernels (NNRows), so the final result — index, squared distance, and the
+// TopKRows (NNRows at k = 1), so the final result — rows, squared distances, and the
 // lowest-row-index tie rule — is bit-identical to a pure float64 scan.
+// This file holds the error contract, the float32 distance, and the q8
+// lookup-table kernels; topk32.go holds the shortlist and the float32
+// kernels.
 //
 // Soundness rests on one contract (Bounds): the compact squared distance
 // d32 and the exact squared distance d64 of the same row pair satisfy
@@ -25,9 +28,9 @@ import (
 	"repro/internal/points"
 )
 
-// ConfScanPrecision is the Conf key selecting the reducer-side scan
+// ConfScanPrecision is the Conf key selecting the kNN-join bucket scan
 // precision ("f64" default, or "f32" for the compact path with exact
-// re-check). The serving daemon has its own knob (serve.scan.precision)
+// re-rank). The serving daemon has its own knob (serve.scan.precision)
 // which additionally accepts "q8".
 const ConfScanPrecision = "mr.scan.precision"
 
@@ -38,10 +41,10 @@ const (
 	ScanQ8  = "q8"
 )
 
-// ValidScanPrecision reports whether s is a usable reducer-side precision.
-// The empty string means "default" (f64). q8 is serving-only: reducer
-// groups have no precomputed codebook, and building one per group would
-// cost more than the scan it saves.
+// ValidScanPrecision reports whether s is a usable kNN-join bucket scan
+// precision. The empty string means "default" (f64). q8 is serving-only:
+// join buckets have no precomputed codebook, and building one per bucket
+// would cost more than the scan it saves.
 func ValidScanPrecision(s string) bool {
 	switch s {
 	case "", ScanF64, ScanF32:
@@ -55,9 +58,9 @@ func ValidScanPrecision(s string) bool {
 // |sqrt(d32) − sqrt(d64)| ≤ Rel·sqrt(d64) + Abs. A non-finite compact
 // distance (overflow to +Inf, NaN) carries no information and every kernel
 // routes it to the exact path instead.
-// All threshold helpers are sound for any Rel in [0, 1) and Abs ≥ 0; the
-// constructors below build Rel/Abs with ≥8x margin over worst-case
-// rounding, so the shortlists they gate stay tiny on real data.
+// KeepThresh is sound for any Rel in [0, 1) and Abs ≥ 0; the constructors
+// below build Rel/Abs with ≥8x margin over worst-case rounding, so the
+// shortlists they gate stay tiny on real data.
 type Bounds struct {
 	Rel float64
 	Abs float64
@@ -97,8 +100,8 @@ func Q8Bounds(dim int, errBound float64) Bounds {
 }
 
 // Valid reports whether the bounds are usable (finite, Rel < 1). Invalid
-// bounds would still be sound — every threshold degenerates to
-// "keep/re-check everything" — but a caller holding them should prefer the
+// bounds would still be sound — the threshold degenerates to
+// "keep everything" — but a caller holding them should prefer the
 // plain float64 path.
 func (b Bounds) Valid() bool {
 	return b.Rel >= 0 && b.Rel < 1 && b.Abs >= 0 &&
@@ -106,31 +109,12 @@ func (b Bounds) Valid() bool {
 		!math.IsNaN(b.Rel) && !math.IsNaN(b.Abs)
 }
 
-// GeThresh returns T such that float64(d32) > T proves d64 ≥ x2.
-// (From the contract, s64 < √x2 forces s32 < √x2·(1+Rel)+Abs.)
-func (b Bounds) GeThresh(x2 float64) float64 {
-	if math.IsInf(x2, 1) {
-		return inf
-	}
-	t := math.Sqrt(x2)*(1+b.Rel) + b.Abs
-	return t * t
-}
-
-// LtThresh returns T such that float64(d32) < T proves d64 < x2, or -1
-// when no compact value can prove it (the provable band is empty).
-func (b Bounds) LtThresh(x2 float64) float64 {
-	t := math.Sqrt(x2)*(1-b.Rel) - b.Abs
-	if !(t > 0) {
-		return -1
-	}
-	return t * t
-}
-
-// KeepThresh returns the shortlist admission threshold for a running
-// compact best b32 (a float64-promoted float32 squared distance): every
-// row whose exact distance ties or beats the exact distance of the current
-// compact-best row satisfies float64(d32) ≤ KeepThresh(b32). Rows above
-// the threshold are provably not the nearest neighbor (nor tied for it).
+// KeepThresh returns the shortlist admission threshold for a compact
+// squared distance b32 (float64-promoted) of an observed row: every row
+// whose exact distance ties or beats that row's exact distance satisfies
+// float64(d32) ≤ KeepThresh(b32). With b32 the k-th smallest compact
+// distance seen, rows above the threshold are provably outside the top-k
+// (and not tied with its boundary).
 func (b Bounds) KeepThresh(b32 float64) float64 {
 	if !(b32 < inf) || !(b.Rel < 1) {
 		return inf
@@ -139,79 +123,6 @@ func (b Bounds) KeepThresh(b32 float64) float64 {
 	u := (s + b.Abs) / (1 - b.Rel) // ≥ exact distance of the compact-best row
 	t := u*(1+b.Rel) + b.Abs       // ≥ compact distance of any row at least that close
 	return t * t
-}
-
-// shortlistCompactAt is the shortlist length that triggers re-filtering
-// against the tightened threshold. Genuine mass ties can exceed any fixed
-// cap, so the limit doubles when a compaction fails to shrink the list.
-const shortlistCompactAt = 256
-
-// Shortlist collects candidate rows during a compact scan: every observed
-// row whose compact distance does not provably exceed the best possible
-// exact distance. Reset it with the scan's Bounds, feed it via the
-// compact NN kernels, then Finish and re-rank the surviving rows with
-// NNRows over the float64 data.
-type Shortlist struct {
-	Rows  []int32
-	d2    []float32
-	best  float64
-	thr   float64
-	bnd   Bounds
-	limit int
-}
-
-// Reset prepares the shortlist for one scan under the given bounds,
-// keeping backing storage.
-func (sl *Shortlist) Reset(bnd Bounds) {
-	sl.Rows = sl.Rows[:0]
-	sl.d2 = sl.d2[:0]
-	sl.best = inf
-	sl.thr = inf
-	sl.bnd = bnd
-	sl.limit = shortlistCompactAt
-}
-
-// observe folds one scanned row into the shortlist. Comparisons are
-// arranged so a NaN compact distance is admitted and never tightens the
-// threshold.
-func (sl *Shortlist) observe(row int32, d32 float32) {
-	df := float64(d32)
-	if df > sl.thr {
-		return
-	}
-	sl.Rows = append(sl.Rows, row)
-	sl.d2 = append(sl.d2, d32)
-	if df < sl.best {
-		sl.best = df
-		sl.thr = sl.bnd.KeepThresh(df)
-	}
-	if len(sl.Rows) >= sl.limit {
-		sl.refilter()
-		if 2*len(sl.Rows) > sl.limit {
-			sl.limit = 2 * len(sl.Rows)
-		}
-	}
-}
-
-// refilter drops rows excluded by the current threshold.
-func (sl *Shortlist) refilter() {
-	w := 0
-	for i, r := range sl.Rows {
-		if !(float64(sl.d2[i]) > sl.thr) {
-			sl.Rows[w] = r
-			sl.d2[w] = sl.d2[i]
-			w++
-		}
-	}
-	sl.Rows = sl.Rows[:w]
-	sl.d2 = sl.d2[:w]
-}
-
-// Finish applies the final threshold and returns the surviving rows. The
-// slice aliases the shortlist and is invalidated by the next Reset.
-func (sl *Shortlist) Finish() []int32 {
-	sl.refilter()
-	return sl.Rows
 }
 
 // sqDist32 mirrors sqDistFlat in float32.
@@ -238,47 +149,6 @@ func sqDist32(a, b []float32, dim int) float32 {
 		s += d * d
 	}
 	return s
-}
-
-// NNRows32 scans the listed rows of the float32 mirror, folding each into
-// the shortlist (which the caller has Reset with this scan's Bounds). The
-// admission reject — the overwhelmingly common case once a good best is
-// seen — is hoisted out of observe so the hot loop pays one comparison per
-// row; NaN fails the rejection test and reaches observe, as required.
-func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
-	thr := sl.thr
-	for _, r := range rows {
-		i := int(r)
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(r, d2)
-		thr = sl.thr
-	}
-}
-
-// NNRange32 scans rows [lo, hi) of the float32 mirror into the shortlist.
-func NNRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
-	thr := sl.thr
-	for i := lo; i < hi; i++ {
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(int32(i), d2)
-		thr = sl.thr
-	}
-}
-
-// NNBatch32 is the multi-query variant of NNRange32: one pass over each
-// row tile of the float32 mirror feeds every query's shortlist. qs32 is
-// flat (len(sls)*dim); each shortlist must be Reset by the caller. Per
-// query the rows arrive in ascending order, exactly as in NNRange32.
-func NNBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []Shortlist) {
-	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		NNRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
-	})
 }
 
 // Q8LUT is the per-query lookup table of a quantized scan: Tab[d·256+c] is
@@ -320,9 +190,10 @@ func q8Dist(codes []uint8, tab []float32) float32 {
 	return s
 }
 
-// NNRowsQ8 scans the listed rows of the quantized block into the
-// shortlist (Reset by the caller with Q8Bounds).
-func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
+// TopKRowsQ8 scans the listed rows of the quantized block into the
+// shortlist (Reset by the caller with this query's k and Q8Bounds). Rows
+// must be distinct (see TopKRows).
+func TopKRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *TopKShortlist) {
 	thr := sl.thr
 	for _, r := range rows {
 		i := int(r)
@@ -335,8 +206,9 @@ func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 	}
 }
 
-// NNRangeQ8 scans rows [lo, hi) of the quantized block into the shortlist.
-func NNRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
+// TopKRangeQ8 scans rows [lo, hi) of the quantized block into the
+// shortlist.
+func TopKRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *TopKShortlist) {
 	thr := sl.thr
 	for i := lo; i < hi; i++ {
 		d2 := q8Dist(codes[i*dim:(i+1)*dim], lut.Tab)
@@ -348,11 +220,11 @@ func NNRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
 	}
 }
 
-// NNBatchQ8 is the multi-query variant of NNRangeQ8: luts and sls are
+// TopKBatchQ8 is the multi-query variant of TopKRangeQ8: luts and sls are
 // parallel per-query slices, and one pass over each row tile of the code
 // block feeds every query's shortlist.
-func NNBatchQ8(codes []uint8, dim int, luts []Q8LUT, lo, hi int, sls []Shortlist) {
+func TopKBatchQ8(codes []uint8, dim int, luts []Q8LUT, lo, hi int, sls []TopKShortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		NNRangeQ8(codes, dim, &luts[qi], tLo, tHi, &sls[qi])
+		TopKRangeQ8(codes, dim, &luts[qi], tLo, tHi, &sls[qi])
 	})
 }

@@ -8,13 +8,12 @@ import (
 	"repro/internal/points"
 )
 
-// Property tests for the compact scan path. The contract under test: a
-// compact (f32 or q8) scan followed by an exact float64 re-rank of the
-// shortlist is bit-identical to the pure float64 NN scan — same row index,
-// same squared distance, same lowest-row-index tie rule, including the
-// all-distances-overflow (-1, +Inf) case — and the compact ρ/δ kernels
-// leave their accumulators in bit-identical float64 states (cutoff ρ and
-// all δ state; Gaussian ρ within documented tolerance).
+// Property tests for the single-NN use of the compact scan path (a
+// TopKShortlist at k = 1, as the serving engine runs it). The contract
+// under test: a compact (f32 or q8) scan followed by an exact float64
+// re-rank of the shortlist is bit-identical to the pure float64 NN scan —
+// same row index, same squared distance, same lowest-row-index tie rule,
+// including the all-distances-overflow (-1, +Inf) case.
 
 // randBlock fills n rows of dim at the given magnitude scale; a few
 // duplicate and near-tie rows are planted to stress the tie rule and the
@@ -40,9 +39,9 @@ func randBlock(rng *rand.Rand, n, dim int, scale float64) []float64 {
 func rerank32(data []float64, dim int, q []float64, bnd Bounds) (int, float64, int) {
 	data32, _ := points.ToFloat32(data)
 	q32, _ := points.ToFloat32(q)
-	var sl Shortlist
-	sl.Reset(bnd)
-	NNRange32(data32, dim, q32, 0, len(data)/dim, &sl)
+	var sl TopKShortlist
+	sl.Reset(1, bnd)
+	TopKRange32(data32, dim, q32, 0, len(data)/dim, &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)
@@ -57,9 +56,9 @@ func rerankQ8(t *testing.T, data []float64, dim int, q []float64) (int, float64,
 	}
 	var lut Q8LUT
 	BuildQ8LUT(par, q, &lut)
-	var sl Shortlist
-	sl.Reset(Q8Bounds(dim, par.ErrBound()))
-	NNRangeQ8(codes, dim, &lut, 0, len(data)/dim, &sl)
+	var sl TopKShortlist
+	sl.Reset(1, Q8Bounds(dim, par.ErrBound()))
+	TopKRangeQ8(codes, dim, &lut, 0, len(data)/dim, &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)
@@ -118,7 +117,8 @@ func TestCompactNNBitIdentical(t *testing.T) {
 
 // TestCompactNNRowsSubset exercises the candidate-list (pruned) variant:
 // shortlist over an arbitrary row subset re-ranked exactly must match
-// NNRows over the same subset, duplicates and all.
+// NNRows over the same subset, duplicates and all (harmless at k = 1: a
+// repeated row can only repeat the single best).
 func TestCompactNNRowsSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dim, n := 4, 500
@@ -140,9 +140,9 @@ func TestCompactNNRowsSubset(t *testing.T) {
 		wantB, wantB2 := NNRows(data, dim, q, rows)
 
 		q32, qMax := points.ToFloat32(q)
-		var sl Shortlist
-		sl.Reset(F32Bounds(dim, math.Max(maxAbs, qMax)))
-		NNRows32(data32, dim, q32, rows, &sl)
+		var sl TopKShortlist
+		sl.Reset(1, F32Bounds(dim, math.Max(maxAbs, qMax)))
+		TopKRows32(data32, dim, q32, rows, &sl)
 		gotB, gotB2 := NNRows(data, dim, q, sl.Finish())
 		if gotB != wantB || gotB2 != wantB2 {
 			t.Fatalf("f32 rows trial %d: got (%d, %v), want (%d, %v)", trial, gotB, gotB2, wantB, wantB2)
@@ -150,8 +150,8 @@ func TestCompactNNRowsSubset(t *testing.T) {
 
 		var lut Q8LUT
 		BuildQ8LUT(par, q, &lut)
-		sl.Reset(Q8Bounds(dim, par.ErrBound()))
-		NNRowsQ8(codes, dim, &lut, rows, &sl)
+		sl.Reset(1, Q8Bounds(dim, par.ErrBound()))
+		TopKRowsQ8(codes, dim, &lut, rows, &sl)
 		gotB, gotB2 = NNRows(data, dim, q, sl.Finish())
 		if gotB != wantB || gotB2 != wantB2 {
 			t.Fatalf("q8 rows trial %d: got (%d, %v), want (%d, %v)", trial, gotB, gotB2, wantB, wantB2)
@@ -254,6 +254,8 @@ func TestNNBatchMatchesNNRange(t *testing.T) {
 	}
 }
 
+// TestNNBatch32MatchesPerQuery runs the batched f32 and q8 shortlist scans
+// at k = 1 and checks every query's exact re-rank against NNRange.
 func TestNNBatch32MatchesPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dim, n, nq := 8, 600, 32
@@ -270,11 +272,11 @@ func TestNNBatch32MatchesPerQuery(t *testing.T) {
 	qs32, qMax := points.ToFloat32(qs)
 	bnd := F32Bounds(dim, math.Max(maxAbs, qMax))
 
-	sls := make([]Shortlist, nq)
+	sls := make([]TopKShortlist, nq)
 	for i := range sls {
-		sls[i].Reset(bnd)
+		sls[i].Reset(1, bnd)
 	}
-	NNBatch32(data32, dim, qs32, 0, n, sls)
+	TopKBatch32(data32, dim, qs32, 0, n, sls)
 	for qi := 0; qi < nq; qi++ {
 		q := qs[qi*dim : (qi+1)*dim]
 		wb, wb2 := NNRange(data, dim, q, 0, n)
@@ -287,165 +289,16 @@ func TestNNBatch32MatchesPerQuery(t *testing.T) {
 	qbnd := Q8Bounds(dim, par.ErrBound())
 	luts := make([]Q8LUT, nq)
 	for i := range sls {
-		sls[i].Reset(qbnd)
+		sls[i].Reset(1, qbnd)
 		BuildQ8LUT(par, qs[i*dim:(i+1)*dim], &luts[i])
 	}
-	NNBatchQ8(codes, dim, luts, 0, n, sls)
+	TopKBatchQ8(codes, dim, luts, 0, n, sls)
 	for qi := 0; qi < nq; qi++ {
 		q := qs[qi*dim : (qi+1)*dim]
 		wb, wb2 := NNRange(data, dim, q, 0, n)
 		gb, gb2 := NNRows(data, dim, q, sls[qi].Finish())
 		if gb != wb || gb2 != wb2 {
 			t.Fatalf("q8 batch q=%d: got (%d, %v), want (%d, %v)", qi, gb, gb2, wb, wb2)
-		}
-	}
-}
-
-// buildRhoMatrix assembles a Matrix with densities via the wire decoder.
-func buildRhoMatrix(t testing.TB, data []float64, dim int, rho []float64) *points.Matrix {
-	t.Helper()
-	n := len(data) / dim
-	vals := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		var buf []byte
-		id := int32(i*3 + 1) // non-trivial IDs for the density order
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		d := uint32(dim)
-		buf = append(buf, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-		for _, v := range data[i*dim : (i+1)*dim] {
-			buf = points.AppendFloat64(buf, v)
-		}
-		buf = points.AppendFloat64(buf, rho[i])
-		vals[i] = buf
-	}
-	m := new(points.Matrix)
-	if err := points.DecodeRhoPointsInto(m, vals); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// nearTieRho builds densities with planted exact ties so the ID tiebreak
-// of the density order is exercised.
-func nearTieRho(rng *rand.Rand, n int) []float64 {
-	rho := make([]float64, n)
-	for i := range rho {
-		rho[i] = float64(rng.Intn(n / 4)) // many exact density ties
-	}
-	return rho
-}
-
-func TestRho32CutoffBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, dim := range []int{2, 3, 8} {
-		n := 400
-		data := randBlock(rng, n, dim, 1)
-		rho := nearTieRho(rng, n)
-		m := buildRhoMatrix(t, data, dim, rho)
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
-
-		// dc chosen as an actual pair distance so the boundary band is hit.
-		dc2 := sqDistFlat(data[0:dim], data[dim:2*dim], dim)
-		k := Kernel{Dc2: dc2}
-
-		want := make([]float64, n)
-		RhoAccumulate(m, 0, n, k, want)
-		got := make([]float64, n)
-		pairs, rechecks := RhoAccumulate32(m, c, 0, n, k, got)
-		if pairs != int64(n)*int64(n-1)/2 {
-			t.Fatalf("dim %d: pair count %d", dim, pairs)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dim %d row %d: rho %v != %v", dim, i, got[i], want[i])
-			}
-		}
-		if rechecks > pairs/10 {
-			t.Errorf("dim %d: %d/%d pairs re-checked — band too wide", dim, rechecks, pairs)
-		}
-
-		// Cross kernel, both directions of accumulation.
-		for _, both := range []bool{true, false} {
-			want := make([]float64, n)
-			RhoCross(m, 0, n/3, n/3, n, k, want, both)
-			got := make([]float64, n)
-			RhoCross32(m, c, 0, n/3, n/3, n, k, got, both)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dim %d cross both=%v row %d: %v != %v", dim, both, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestRho32GaussianTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	dim, n := 3, 300
-	data := randBlock(rng, n, dim, 1)
-	rho := nearTieRho(rng, n)
-	m := buildRhoMatrix(t, data, dim, rho)
-	c := points.GetMatrix32(m)
-	defer points.PutMatrix32(c)
-	k := Kernel{Gaussian: true, Dc2: 0.5}
-	want := make([]float64, n)
-	RhoAccumulate(m, 0, n, k, want)
-	got := make([]float64, n)
-	RhoAccumulate32(m, c, 0, n, k, got)
-	for i := range want {
-		diff := math.Abs(got[i] - want[i])
-		if diff > 1e-4*(1+math.Abs(want[i])) {
-			t.Fatalf("row %d: gaussian rho %v vs %v (diff %g) outside tolerance", i, got[i], want[i], diff)
-		}
-	}
-}
-
-func TestDelta32BitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, dim := range []int{2, 5} {
-		for _, withMax := range []bool{false, true} {
-			n := 400
-			data := randBlock(rng, n, dim, 1)
-			rho := nearTieRho(rng, n)
-			m := buildRhoMatrix(t, data, dim, rho)
-			c := points.GetMatrix32(m)
-
-			want := NewDeltaAcc(n, withMax)
-			DeltaArgmin(m, 0, n, want)
-			got := NewDeltaAcc(n, withMax)
-			var band DeltaBand
-			band.Reset(got, F32Bounds(dim, c.MaxAbs()))
-			pairs, rechecks := DeltaArgmin32(m, c, 0, n, got, &band)
-			compareDeltaAccs(t, "argmin", want, got, dim, withMax)
-			if rechecks >= pairs {
-				t.Errorf("dim %d withMax=%v: %d/%d re-checked — no pruning at all", dim, withMax, rechecks, pairs)
-			}
-
-			// Cross pass continuing from the argmin state, as Basic-DDP does.
-			nLocal := n / 2
-			want2 := NewDeltaAcc(n, withMax)
-			DeltaArgmin(m, 0, nLocal, want2)
-			DeltaCross(m, nLocal, n, 0, nLocal, want2)
-			got2 := NewDeltaAcc(n, withMax)
-			band.Reset(got2, F32Bounds(dim, c.MaxAbs()))
-			DeltaArgmin32(m, c, 0, nLocal, got2, &band)
-			DeltaCross32(m, c, nLocal, n, 0, nLocal, got2, &band)
-			compareDeltaAccs(t, "argmin+cross", want2, got2, dim, withMax)
-			points.PutMatrix32(c)
-		}
-	}
-}
-
-func compareDeltaAccs(t *testing.T, tag string, want, got *DeltaAcc, dim int, withMax bool) {
-	t.Helper()
-	for i := range want.Best2 {
-		if got.Best2[i] != want.Best2[i] || got.Up[i] != want.Up[i] {
-			t.Fatalf("%s dim=%d withMax=%v row %d: (%v, %d) != (%v, %d)",
-				tag, dim, withMax, i, got.Best2[i], got.Up[i], want.Best2[i], want.Up[i])
-		}
-		if withMax && got.Max2[i] != want.Max2[i] {
-			t.Fatalf("%s dim=%d row %d: Max2 %v != %v", tag, dim, i, got.Max2[i], want.Max2[i])
 		}
 	}
 }

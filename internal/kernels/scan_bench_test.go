@@ -8,10 +8,10 @@ import (
 )
 
 // Benchmarks for the compact scan path (make bench-scan). The NN scans
-// measure one full pass over a 200k×8 block — the serving engine's exact
-// fallback shape — per precision; NNBatch amortizes one pass over a
-// 64-query micro-batch. CompactRho compares the reducer-side cutoff ρ
-// kernel against its f32 band-check variant.
+// measure one full pass over a 1M×8 block — the serving engine's exact
+// fallback shape — per precision (compact arms scan into a k = 1
+// TopKShortlist and re-rank it exactly, as the engine does); NNBatch
+// amortizes one pass over a 64-query micro-batch.
 
 type scanFixture struct {
 	n, dim int
@@ -58,10 +58,10 @@ func BenchmarkNNScan(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 4))
 		bnd := F32Bounds(f.dim, f.maxAbs)
-		var sl Shortlist
+		var sl TopKShortlist
 		for i := 0; i < b.N; i++ {
-			sl.Reset(bnd)
-			NNRange32(f.data32, f.dim, f.qs32[:f.dim], 0, f.n, &sl)
+			sl.Reset(1, bnd)
+			TopKRange32(f.data32, f.dim, f.qs32[:f.dim], 0, f.n, &sl)
 			NNRows(f.data, f.dim, q, sl.Finish())
 		}
 	})
@@ -69,11 +69,11 @@ func BenchmarkNNScan(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim))
 		bnd := Q8Bounds(f.dim, f.par.ErrBound())
 		var lut Q8LUT
-		var sl Shortlist
+		var sl TopKShortlist
 		for i := 0; i < b.N; i++ {
 			BuildQ8LUT(f.par, q, &lut)
-			sl.Reset(bnd)
-			NNRangeQ8(f.codes, f.dim, &lut, 0, f.n, &sl)
+			sl.Reset(1, bnd)
+			TopKRangeQ8(f.codes, f.dim, &lut, 0, f.n, &sl)
 			NNRows(f.data, f.dim, q, sl.Finish())
 		}
 	})
@@ -101,12 +101,12 @@ func BenchmarkNNBatch(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 4 * nq))
 		bnd := F32Bounds(f.dim, f.maxAbs)
-		sls := make([]Shortlist, nq)
+		sls := make([]TopKShortlist, nq)
 		for i := 0; i < b.N; i++ {
 			for qi := range sls {
-				sls[qi].Reset(bnd)
+				sls[qi].Reset(1, bnd)
 			}
-			NNBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
+			TopKBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
 			for qi := range sls {
 				NNRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish())
 			}
@@ -115,14 +115,14 @@ func BenchmarkNNBatch(b *testing.B) {
 	b.Run("q8", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * nq))
 		bnd := Q8Bounds(f.dim, f.par.ErrBound())
-		sls := make([]Shortlist, nq)
+		sls := make([]TopKShortlist, nq)
 		luts := make([]Q8LUT, nq)
 		for i := 0; i < b.N; i++ {
 			for qi := range sls {
-				sls[qi].Reset(bnd)
+				sls[qi].Reset(1, bnd)
 				BuildQ8LUT(f.par, f.qs[qi*f.dim:(qi+1)*f.dim], &luts[qi])
 			}
-			NNBatchQ8(f.codes, f.dim, luts, 0, f.n, sls)
+			TopKBatchQ8(f.codes, f.dim, luts, 0, f.n, sls)
 			for qi := range sls {
 				NNRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish())
 			}
@@ -160,33 +160,6 @@ func BenchmarkTopKScan(b *testing.B) {
 			for qi := range sls {
 				TopKRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish(), &accs[qi])
 			}
-		}
-	})
-}
-
-func BenchmarkCompactRho(b *testing.B) {
-	const n, dim = 4000, 8
-	f := newScanFixture(b, n, dim, 1)
-	rho := make([]float64, n)
-	m := buildRhoMatrix(b, f.data, dim, rho)
-	k := Kernel{Dc2: 100 * float64(dim)}
-	out := make([]float64, n)
-	b.Run("f64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			RhoAccumulate(m, 0, n, k, out)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			RhoAccumulate32(m, c, 0, n, k, out)
 		}
 	})
 }

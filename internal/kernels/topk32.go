@@ -1,7 +1,7 @@
 package kernels
 
-// Compact (float32) top-k scan kernels with exact float64 re-rank,
-// extending the single-NN compact path of compact.go to k neighbors. The
+// Compact (float32) top-k scan kernels with exact float64 re-rank, under
+// the Bounds contract of compact.go (k = 1 is the single-NN case). The
 // scan streams the float32 mirror and collects every row that could belong
 // to the true top-k under the Bounds contract; the caller re-ranks the
 // surviving rows with the exact TopKRows, so the final (row, distance) set
@@ -17,9 +17,14 @@ package kernels
 // squared distance ≤ KeepThresh(h) = (u·(1+Rel) + Abs)². Rows are only
 // dropped when strictly above that threshold, and the threshold only
 // tightens as the heap improves, so no true top-k row is ever discarded.
-// As in compact.go, a NaN compact distance is admitted and never tightens
-// the threshold, and a +Inf compact distance never enters the heap, so
-// overflow degrades to a larger re-rank, never a wrong answer.
+// A NaN compact distance is admitted and never tightens the threshold, and
+// a +Inf compact distance never enters the heap, so overflow degrades to a
+// larger re-rank, never a wrong answer.
+
+// shortlistCompactAt is the shortlist length that triggers re-filtering
+// against the tightened threshold. Genuine mass ties can exceed any fixed
+// cap, so the limit doubles when a compaction fails to shrink the list.
+const shortlistCompactAt = 256
 
 // TopKShortlist collects candidate rows during a compact top-k scan. Reset
 // it with the query's k and the scan's Bounds, feed it via the compact
@@ -137,8 +142,9 @@ func (sl *TopKShortlist) Finish() []int32 {
 
 // TopKRange32 scans rows [lo, hi) of the float32 mirror into the shortlist
 // (Reset by the caller with this query's k and the scan's Bounds). The
-// admission reject is hoisted as in NNRange32; NaN fails the rejection test
-// and reaches observe, as required.
+// admission reject — the overwhelmingly common case once the heap is full —
+// is hoisted out of observe so the hot loop pays one comparison per row;
+// NaN fails the rejection test and reaches observe, as required.
 func TopKRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *TopKShortlist) {
 	thr := sl.thr
 	for i := lo; i < hi; i++ {

@@ -208,26 +208,37 @@ func TestTopK32Rerank(t *testing.T) {
 	}
 }
 
-// The batched f32 kernel must leave every shortlist in the same state as
-// its single-query counterpart, and TopKRows32 must honor the running
-// threshold like TopKRange32 does.
+// The batched compact kernels must leave every shortlist in the same state
+// as their single-query counterparts, and the row-list kernels must honor
+// the running threshold like the range kernels do, for f32 and q8. The
+// k = 1 batch case is TestNNBatch32MatchesPerQuery.
 func TestTopK32BatchAndRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	dim, n, k, nq := 3, 260, 6, 5
 	data := randBlock(rng, n, dim, 8)
 	data32, _ := points.ToFloat32(data)
+	codes, par, ok := points.QuantizeQ8(data, dim)
+	if !ok {
+		t.Fatal("quantize failed")
+	}
 	qs := make([]float64, nq*dim)
 	for i := range qs {
 		qs[i] = rng.NormFloat64() * 8
 	}
 	qs32, _ := points.ToFloat32(qs)
 	bnd := F32Bounds(dim, blockMaxAbs(data, qs))
+	qbnd := Q8Bounds(dim, par.ErrBound())
 
 	sls := make([]TopKShortlist, nq)
+	qsls := make([]TopKShortlist, nq)
+	luts := make([]Q8LUT, nq)
 	for i := range sls {
 		sls[i].Reset(k, bnd)
+		qsls[i].Reset(k, qbnd)
+		BuildQ8LUT(par, qs[i*dim:(i+1)*dim], &luts[i])
 	}
 	TopKBatch32(data32, dim, qs32, 0, n, sls)
+	TopKBatchQ8(codes, dim, luts, 0, n, qsls)
 
 	rows := make([]int32, n)
 	for i := range rows {
@@ -235,16 +246,23 @@ func TestTopK32BatchAndRows(t *testing.T) {
 	}
 	for qi := 0; qi < nq; qi++ {
 		q, q32 := qs[qi*dim:(qi+1)*dim], qs32[qi*dim:(qi+1)*dim]
-		var flat, byRows TopKShortlist
+		var flat, byRows, qflat, qrows TopKShortlist
 		flat.Reset(k, bnd)
 		TopKRange32(data32, dim, q32, 0, n, &flat)
 		byRows.Reset(k, bnd)
 		TopKRows32(data32, dim, q32, rows, &byRows)
+		qflat.Reset(k, qbnd)
+		TopKRangeQ8(codes, dim, &luts[qi], 0, n, &qflat)
+		qrows.Reset(k, qbnd)
+		TopKRowsQ8(codes, dim, &luts[qi], rows, &qrows)
 
 		ref := NewTopKAcc(k)
 		TopKRange(data, dim, q, 0, n, ref)
 		want := ref.Append(nil)
-		for name, sl := range map[string]*TopKShortlist{"batch": &sls[qi], "range": &flat, "rows": &byRows} {
+		for name, sl := range map[string]*TopKShortlist{
+			"batch": &sls[qi], "range": &flat, "rows": &byRows,
+			"q8-batch": &qsls[qi], "q8-range": &qflat, "q8-rows": &qrows,
+		} {
 			acc := NewTopKAcc(k)
 			TopKRows(data, dim, q, sl.Finish(), acc)
 			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
@@ -255,7 +273,9 @@ func TestTopK32BatchAndRows(t *testing.T) {
 }
 
 // Mass ties beyond the compaction limit: many rows at exactly the same
-// distance must force shortlist growth without losing the true top-k.
+// distance must force shortlist growth — no threshold can prune a tie, so
+// every row survives — without losing the true top-k (lowest rows first).
+// The k = 1 tie flood is TestShortlistRefilterGrowth.
 func TestTopK32MassTies(t *testing.T) {
 	dim, k := 2, 4
 	n := 3 * shortlistCompactAt
@@ -270,8 +290,12 @@ func TestTopK32MassTies(t *testing.T) {
 	var sl TopKShortlist
 	sl.Reset(k, bnd)
 	TopKRange32(data32, dim, q32, 0, n, &sl)
+	short := sl.Finish()
+	if len(short) != n {
+		t.Fatalf("tie flood must keep all %d rows, kept %d", n, len(short))
+	}
 	acc := NewTopKAcc(k)
-	TopKRows(data, dim, q, sl.Finish(), acc)
+	TopKRows(data, dim, q, short, acc)
 	got := acc.Append(nil)
 	ref := NewTopKAcc(k)
 	TopKRange(data, dim, q, 0, n, ref)

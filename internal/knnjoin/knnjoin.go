@@ -37,7 +37,8 @@ type Config struct {
 	NumReduces int
 	// ScanPrecision selects the bucket scan arithmetic: "" or
 	// kernels.ScanF64 for exact float64, kernels.ScanF32 for the compact
-	// mirror with exact re-rank (results are identical either way).
+	// mirror with exact re-rank (results are identical either way). Any
+	// other value is an error.
 	ScanPrecision string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -93,7 +94,7 @@ type Result struct {
 // lowest-ID-wins tie rule.
 func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
 	start := time.Now()
-	if err := validate(R, S, k); err != nil {
+	if err := validate(R, S, k, &cfg); err != nil {
 		return nil, err
 	}
 	mark := core.MarkRunner(sess.Runner())
@@ -154,7 +155,7 @@ func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 // is small enough that bucketing buys nothing.
 func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
 	start := time.Now()
-	if err := validate(R, S, k); err != nil {
+	if err := validate(R, S, k, &cfg); err != nil {
 		return nil, err
 	}
 	mark := core.MarkRunner(sess.Runner())
@@ -180,9 +181,13 @@ func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k in
 	return res, nil
 }
 
-func validate(R, S *points.Dataset, k int) error {
+func validate(R, S *points.Dataset, k int, cfg *Config) error {
 	if k < 1 {
 		return fmt.Errorf("knnjoin: k must be at least 1, got %d", k)
+	}
+	if !kernels.ValidScanPrecision(cfg.ScanPrecision) {
+		return fmt.Errorf("knnjoin: unknown ScanPrecision %q (want \"\", %q or %q)",
+			cfg.ScanPrecision, kernels.ScanF64, kernels.ScanF32)
 	}
 	if err := R.Validate(); err != nil {
 		return err

@@ -109,6 +109,41 @@ func TestExactMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestScanPrecisionValidated: both joins run at every bucket scan
+// precision they support and reject the rest up front — q8 is
+// serving-only, and an unknown value must not silently run f64.
+func TestScanPrecisionValidated(t *testing.T) {
+	R, S := splitBlobs(t, "knn-scan-knob", 120, 2, 30, 4)
+	want := naiveKNN(R, S, 3)
+	for _, tc := range []struct {
+		scan string
+		ok   bool
+	}{
+		{"", true},
+		{kernels.ScanF64, true},
+		{kernels.ScanF32, true},
+		{kernels.ScanQ8, false},
+		{"fp16", false},
+	} {
+		cfg := knnjoin.Config{Seed: 1, NumReduces: 2, ScanPrecision: tc.scan}
+		for name, run := range map[string]func(context.Context, *dag.Session, *points.Dataset, *points.Dataset, int, knnjoin.Config) (*knnjoin.Result, error){
+			"Run": knnjoin.Run, "RunExact": knnjoin.RunExact,
+		} {
+			res, err := run(context.Background(), localSession(), R, S, 3, cfg)
+			if !tc.ok {
+				if err == nil {
+					t.Errorf("%s accepted ScanPrecision %q", name, tc.scan)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s with ScanPrecision %q: %v", name, tc.scan, err)
+			}
+			requireSameNeighbors(t, res.Neighbors, want)
+		}
+	}
+}
+
 // TestKLargerThanBase pins the |S| < k contract: every query gets all of S
 // and the exact pass resolves the short lists without flagging fallbacks
 // forever.

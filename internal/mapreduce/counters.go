@@ -52,12 +52,12 @@ const CtrDistanceComputations = "dp.distance.computations"
 // and the counter going positive is the knob taking effect.
 const CtrParallelGroups = "dp.parallel.groups"
 
-// Compact scan path counters (the mr.scan.precision knob). CtrCompactEvals
-// counts pairwise evaluations performed on the float32 representation;
-// CtrCompactRechecks counts the subset whose error band was inconclusive
-// and fell back to an exact float64 evaluation. rechecks/evals is the
-// pruning efficiency of the compact path — near 1 means the data defeats
-// the band test and f64 would be cheaper.
+// Compact scan path counters (the mr.scan.precision knob of the kNN-join
+// bucket reducers). CtrCompactEvals counts query–row distances computed
+// on the float32 representation; CtrCompactRechecks counts the shortlist
+// rows re-ranked in exact float64. rechecks/evals is the pruning
+// efficiency of the compact path — near 1 means the data defeats the
+// error bound and f64 would be cheaper.
 const (
 	CtrCompactEvals    = "kernels.compact.evals"
 	CtrCompactRechecks = "kernels.compact.rechecks"

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/kernels"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -233,86 +232,6 @@ func TestConformanceParallelKernels(t *testing.T) {
 	for i := range local.output {
 		if local.output[i].Key != rpc.output[i].Key || !reflect.DeepEqual(local.output[i].Value, rpc.output[i].Value) {
 			t.Fatalf("output record %d differs between engines", i)
-		}
-	}
-}
-
-// TestConformanceCompactScan runs the density job with the compact f32 scan
-// path enabled (mr.scan.precision rides Conf like every other knob). Remote
-// workers must take the compact path (kernels.compact.evals > 0 on both
-// engines), the local and distributed runs must agree byte-for-byte, and —
-// the actual correctness claim — the compact output values must be
-// byte-identical to a plain float64 baseline run.
-func TestConformanceCompactScan(t *testing.T) {
-	ds := dataset.Blobs("conformance-compact", 600, 2, 4, 100, 3, 11)
-	input := core.InputPairs(ds)
-
-	baseConf := mapreduce.Conf{}
-	baseConf.SetFloat("ddp.dc", 4.0)
-	baseConf.SetInt("ddp.dim", ds.Dim())
-	baseConf.SetInt("ddp.lsh.m", 4)
-	baseConf.SetInt("ddp.lsh.pi", 2)
-	baseConf.SetFloat("ddp.lsh.w", 12)
-	baseConf.SetInt64("ddp.seed", 7)
-	compactConf := baseConf.Clone()
-	compactConf[kernels.ConfScanPrecision] = kernels.ScanF32
-
-	makeJob := func(conf mapreduce.Conf) *mapreduce.Job {
-		j := core.JobFactories()[core.JobLSHRho](conf.Clone())
-		j.NumMaps = 4
-		j.NumReduces = 3
-		return j
-	}
-
-	master, _ := startCluster(t, 3)
-	runners := []struct {
-		name   string
-		runner mapreduce.Runner
-		conf   mapreduce.Conf
-	}{
-		{"local-f64", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3}), baseConf},
-		{"local-f32", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3}), compactConf},
-		{"rpcmr-f32", master, compactConf},
-	}
-
-	type observed struct {
-		output   []mapreduce.Pair
-		counters map[string]int64
-	}
-	results := make(map[string]observed)
-	for _, rc := range runners {
-		res, err := rc.runner.Run(context.Background(), makeJob(rc.conf), input)
-		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
-		}
-		out := append([]mapreduce.Pair(nil), res.Output...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		results[rc.name] = observed{output: out, counters: res.Counters.Snapshot()}
-	}
-
-	local, rpc := results["local-f32"], results["rpcmr-f32"]
-	if local.counters[mapreduce.CtrCompactEvals] == 0 {
-		t.Fatal("compact scan path never engaged on the local engine")
-	}
-	if rpc.counters[mapreduce.CtrCompactEvals] == 0 {
-		t.Fatal("compact scan path never engaged on the rpcmr cluster")
-	}
-	stripWireCounters(local.counters)
-	stripWireCounters(rpc.counters)
-	if !reflect.DeepEqual(local.counters, rpc.counters) {
-		t.Errorf("counter snapshots differ:\n local: %v\n rpcmr: %v", local.counters, rpc.counters)
-	}
-	// Compact vs exact: same keys, same bytes — the re-rank contract.
-	for _, name := range []string{"local-f32", "rpcmr-f32"} {
-		got := results[name]
-		want := results["local-f64"]
-		if len(got.output) != len(want.output) {
-			t.Fatalf("%s: output size %d differs from f64 baseline %d", name, len(got.output), len(want.output))
-		}
-		for i := range want.output {
-			if got.output[i].Key != want.output[i].Key || !reflect.DeepEqual(got.output[i].Value, want.output[i].Value) {
-				t.Fatalf("%s: output record %d differs from f64 baseline", name, i)
-			}
 		}
 	}
 }

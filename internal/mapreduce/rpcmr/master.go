@@ -108,7 +108,7 @@ type jobRun struct {
 	nReduce     int
 	maps        []taskSlot
 	mapAddr     []string // worker addr holding each completed map task's data
-	mapShuffle  []string // that worker's streaming shuffle addr ("" = RPC only)
+	mapShuffle  []string // that worker's streaming shuffle addr
 	reduces     []taskSlot
 	outputs     [][]mapreduce.Pair
 	counters    *mapreduce.Counters
@@ -472,6 +472,9 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	if m.closed {
 		return fmt.Errorf("rpcmr: master closed")
 	}
+	if args.Addr == "" || args.ShuffleAddr == "" {
+		return fmt.Errorf("rpcmr: worker registration needs both an RPC and a shuffle address (got %q, %q)", args.Addr, args.ShuffleAddr)
+	}
 	m.nextWorker++
 	id := m.nextWorker
 	m.workers[id] = &workerInfo{id: id, addr: args.Addr, shuffleAddr: args.ShuffleAddr, lastSeen: time.Now()}
@@ -653,12 +656,16 @@ func (r *masterRPC) CompleteTask(args *CompleteArgs, reply *CompleteReply) error
 		if s.status == taskDone {
 			return nil // duplicate attempt; first one won
 		}
+		// A map is only done once its output has a location reducers can
+		// fetch from; an unknown worker has none.
+		w, ok := m.workers[args.WorkerID]
+		if !ok {
+			return fmt.Errorf("rpcmr: map completion from unknown worker %d", args.WorkerID)
+		}
 		run.mapDurations = append(run.mapDurations, time.Since(s.started))
 		s.status = taskDone
-		if w, ok := m.workers[args.WorkerID]; ok {
-			run.mapAddr[args.TaskID] = w.addr
-			run.mapShuffle[args.TaskID] = w.shuffleAddr
-		}
+		run.mapAddr[args.TaskID] = w.addr
+		run.mapShuffle[args.TaskID] = w.shuffleAddr
 		mergeCounters(run.counters, args.Counters)
 		run.spans = append(run.spans, args.Spans...)
 	case TaskReduce:

@@ -3,6 +3,7 @@ package rpcmr
 import (
 	"context"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,5 +253,123 @@ func TestUnregisteredJobFailsCleanly(t *testing.T) {
 	_, err := m.Run(context.Background(), job, []mapreduce.Pair{{Value: []byte("x")}})
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("want not-registered error, got %v", err)
+	}
+}
+
+// TestRegisterRequiresBothAddrs: map outputs leave a worker only through
+// its shuffle listener, and cleanup reaches it only through its RPC
+// address, so a sign-on missing either is refused.
+func TestRegisterRequiresBothAddrs(t *testing.T) {
+	m, err := NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	r := &masterRPC{m: m}
+	for _, args := range []RegisterArgs{
+		{Addr: "127.0.0.1:1"},
+		{ShuffleAddr: "127.0.0.1:2"},
+		{},
+	} {
+		var reply RegisterReply
+		if err := r.Register(&args, &reply); err == nil {
+			t.Errorf("Register(%+v) accepted", args)
+		}
+	}
+	if n := m.WorkerCount(); n != 0 {
+		t.Fatalf("%d workers registered from incomplete sign-ons", n)
+	}
+	var reply RegisterReply
+	if err := r.Register(&RegisterArgs{Addr: "127.0.0.1:1", ShuffleAddr: "127.0.0.1:2"}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if m.WorkerCount() != 1 || reply.WorkerID == 0 {
+		t.Fatalf("complete sign-on: %d workers, id %d", m.WorkerCount(), reply.WorkerID)
+	}
+}
+
+// TestCompleteMapFromUnknownWorker: a map completion names the worker
+// holding the output; from an unregistered worker there is no location
+// to fetch from, so the map must stay undone rather than done-and-empty.
+func TestCompleteMapFromUnknownWorker(t *testing.T) {
+	m, err := NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	r := &masterRPC{m: m}
+	var reg RegisterReply
+	if err := r.Register(&RegisterArgs{Addr: "127.0.0.1:1", ShuffleAddr: "127.0.0.1:2"}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	run := &jobRun{
+		id:         1,
+		maps:       []taskSlot{{status: taskRunning, worker: reg.WorkerID, started: time.Now()}},
+		mapAddr:    make([]string, 1),
+		mapShuffle: make([]string, 1),
+		reduces:    make([]taskSlot, 1),
+		outputs:    make([][]mapreduce.Pair, 1),
+		counters:   mapreduce.NewCounters(),
+	}
+	m.mu.Lock()
+	m.cur = run
+	m.mu.Unlock()
+
+	unknown := reg.WorkerID + 1
+	if err := r.CompleteTask(&CompleteArgs{WorkerID: unknown, JobID: 1, Kind: TaskMap}, &CompleteReply{}); err == nil {
+		t.Error("map completion from an unknown worker accepted")
+	}
+	m.mu.Lock()
+	status, addr := run.maps[0].status, run.mapShuffle[0]
+	m.mu.Unlock()
+	if status == taskDone || addr != "" {
+		t.Fatalf("unknown worker marked the map done (status %v, shuffle addr %q)", status, addr)
+	}
+
+	if err := r.CompleteTask(&CompleteArgs{WorkerID: reg.WorkerID, JobID: 1, Kind: TaskMap}, &CompleteReply{}); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if run.maps[0].status != taskDone || run.mapAddr[0] != "127.0.0.1:1" || run.mapShuffle[0] != "127.0.0.1:2" {
+		t.Fatalf("registered worker's completion: status %v, location %q/%q",
+			run.maps[0].status, run.mapAddr[0], run.mapShuffle[0])
+	}
+}
+
+// TestFetchEmptyShuffleAddrFailsMap: a remote map location without a
+// shuffle address is reported as a failed map at once, without dialling
+// the holder's RPC address or anything else.
+func TestFetchEmptyShuffleAddrFailsMap(t *testing.T) {
+	_, ws := startCluster(t, 1)
+	holder, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	task := &GetTaskReply{
+		JobID: 1,
+		Conf:  mapreduce.Conf{},
+		Maps:  []MapLocation{{MapTaskID: 5, WorkerAddr: holder.Addr().String()}},
+	}
+	done := make(chan []int, 1)
+	go func() {
+		_, _, failed := ws[0].fetchAll(task)
+		done <- failed
+	}()
+	var failed []int
+	select {
+	case failed = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch of a location without a shuffle address hung")
+	}
+	if len(failed) != 1 || failed[0] != 5 {
+		t.Fatalf("failed maps %v, want [5]", failed)
+	}
+	// Any dial would already sit in the listener's backlog.
+	holder.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if c, err := holder.Accept(); err == nil {
+		c.Close()
+		t.Fatal("fetch dialled the holder's RPC address")
 	}
 }

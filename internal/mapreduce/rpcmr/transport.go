@@ -16,10 +16,9 @@ import (
 
 // Streaming shuffle transport.
 //
-// The original shuffle gob-encoded whole []Pair partitions through
-// net/rpc: every fetch paid reflection-based encode/decode on both sides
-// and buffered the entire partition in a single RPC reply. This file
-// replaces it with a purpose-built raw-TCP protocol that streams the
+// Reducers fetch remote map outputs over a purpose-built raw-TCP protocol
+// rather than net/rpc, so a fetch pays no reflection-based encode/decode
+// and never buffers a whole partition in one reply. It streams the
 // partition as record frames — the same uint32-length-prefixed layout the
 // spill run files use (mapreduce/frame.go) — in bounded chunks, with
 // optional per-chunk DEFLATE compression negotiated by the fetcher.
@@ -63,9 +62,6 @@ const (
 // job like every other parameter, so a pipeline can tune its transport
 // per job without touching worker deployment.
 const (
-	// ConfShuffleStream disables the streaming transport when "false"
-	// (fetches fall back to the legacy gob FetchPartition RPC).
-	ConfShuffleStream = "mr.shuffle.stream"
 	// ConfShuffleCompress requests per-chunk DEFLATE compression.
 	ConfShuffleCompress = "mr.shuffle.compress"
 	// ConfShuffleChunkBytes overrides the transport chunk size.
@@ -102,7 +98,6 @@ type fetchStats struct {
 // fetchOptions is the reduce side's per-job transport configuration,
 // resolved from the job Conf.
 type fetchOptions struct {
-	stream     bool
 	compress   bool
 	chunkBytes int
 	fetchers   int
@@ -111,7 +106,6 @@ type fetchOptions struct {
 
 func fetchOptionsFromConf(conf mapreduce.Conf) fetchOptions {
 	o := fetchOptions{
-		stream:     conf.GetBool(ConfShuffleStream, true),
 		compress:   conf.GetBool(ConfShuffleCompress, false),
 		chunkBytes: conf.GetInt(ConfShuffleChunkBytes, defaultShuffleChunkBytes),
 		fetchers:   conf.GetInt(ConfShuffleFetchers, defaultShuffleFetchers),

@@ -53,7 +53,7 @@ func TestShuffleStreamRoundTrip(t *testing.T) {
 	want := textPairs(500, 100) // ~54KB framed: several chunks at 8KB
 	seedStore(ws[0], 7, 3, [][]mapreduce.Pair{nil, want})
 
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 1, o)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestShuffleStreamCompression(t *testing.T) {
 	want := textPairs(500, 100)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{want})
 
-	o := fetchOptions{stream: true, compress: true, chunkBytes: 8 << 10}
+	o := fetchOptions{compress: true, chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestShuffleStreamCompressionNeverRegresses(t *testing.T) {
 	want := randomPairs(300, 128, 42)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{want})
 
-	o := fetchOptions{stream: true, compress: true, chunkBytes: 8 << 10}
+	o := fetchOptions{compress: true, chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestShuffleStreamCompressionNeverRegresses(t *testing.T) {
 
 func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 	_, ws := startCluster(t, 2)
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 99, 0, 0, o)
 	if !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("missing partition: got %v, want errShuffleMissing", err)
@@ -159,7 +159,7 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 	_, ws := startCluster(t, 2)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(50, 64)})
 	addr := ws[0].shuffleAddr
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 
 	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0, o); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 		}
 		return nil
 	}
-	o := fetchOptions{stream: true, chunkBytes: 1024}
+	o := fetchOptions{chunkBytes: 1024}
 	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err == nil {
 		t.Fatal("mid-stream abort went unnoticed")

@@ -15,8 +15,8 @@ import (
 )
 
 // Worker executes tasks for one master. It serves a small RPC surface of
-// its own (legacy shuffle fetches and cleanup), a streaming shuffle
-// listener (transport.go), and polls the master for work.
+// its own (cleanup), a streaming shuffle listener (transport.go), and polls
+// the master for work.
 type Worker struct {
 	// PollInterval is the base polling period (default 20ms). While no
 	// task is handed out the period backs off exponentially up to
@@ -40,9 +40,6 @@ type Worker struct {
 
 	mu    sync.Mutex
 	store map[storeKey][][]mapreduce.Pair // partitioned map outputs
-
-	peersMu sync.Mutex
-	peers   map[string]*rpc.Client
 
 	streamMu sync.Mutex
 	streams  map[string][]*shuffleStream // idle shuffle conns per peer
@@ -95,7 +92,6 @@ func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 		shuffleLis:   shuffleLis,
 		shuffleAddr:  shuffleLis.Addr().String(),
 		store:        make(map[storeKey][][]mapreduce.Pair),
-		peers:        make(map[string]*rpc.Client),
 		streams:      make(map[string][]*shuffleStream),
 		dfsClients:   make(map[string]*dfs.Client),
 		quit:         make(chan struct{}),
@@ -145,12 +141,6 @@ func (w *Worker) Close() error {
 	err := w.lis.Close()
 	w.shuffleLis.Close()
 	w.closeStreams()
-	w.peersMu.Lock()
-	for _, c := range w.peers {
-		c.Close()
-	}
-	w.peers = map[string]*rpc.Client{}
-	w.peersMu.Unlock()
 	w.dfsMu.Lock()
 	for _, c := range w.dfsClients {
 		c.Close()
@@ -395,15 +385,18 @@ func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []fetchSpan, 
 }
 
 // fetchOne retrieves a single map output: straight from the local store
-// when the data is ours, over the streaming transport when the holder
-// advertises one, else over the legacy RPC. Only remote streamed fetches
-// produce a fetchSpan (the wire-level observation).
+// when the data is ours, otherwise over the holder's streaming shuffle
+// listener. Only remote fetches produce a fetchSpan (the wire-level
+// observation). A location without a shuffle address fails at once, so
+// the master re-executes the map instead of the reducer dialling nowhere.
 func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply, o fetchOptions) ([]mapreduce.Pair, *fetchSpan, error) {
 	if loc.WorkerAddr == w.addr {
-		pairs, err := w.fetch(loc.WorkerAddr, task.JobID, loc.MapTaskID, task.TaskID)
+		pairs, err := w.partitionForShuffle(task.JobID, loc.MapTaskID, task.TaskID)
 		return pairs, nil, err
 	}
-	useStream := o.stream && loc.ShuffleAddr != ""
+	if loc.ShuffleAddr == "" {
+		return nil, nil, fmt.Errorf("rpcmr: map output %d/%d has no shuffle address", task.JobID, loc.MapTaskID)
+	}
 	var lastErr error
 	for attempt := 0; attempt <= o.retries; attempt++ {
 		if attempt > 0 {
@@ -412,14 +405,6 @@ func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply, o fetchOptions) (
 				return nil, nil, lastErr
 			case <-time.After(shuffleRetryBackoff << (attempt - 1)):
 			}
-		}
-		if !useStream {
-			pairs, err := w.fetch(loc.WorkerAddr, task.JobID, loc.MapTaskID, task.TaskID)
-			if err == nil {
-				return pairs, nil, nil
-			}
-			lastErr = err
-			continue
 		}
 		start := time.Now()
 		pairs, stats, err := w.fetchStream(loc.ShuffleAddr, task.JobID, loc.MapTaskID, task.TaskID, o)
@@ -453,68 +438,9 @@ func (w *Worker) tagSpans(spans []obs.Span, jobID int) []obs.Span {
 	return spans
 }
 
-// fetch retrieves one map task's partition, from local store when the data
-// is ours, otherwise over the peer RPC.
-func (w *Worker) fetch(addr string, jobID, mapTask, partition int) ([]mapreduce.Pair, error) {
-	if addr == w.addr {
-		w.mu.Lock()
-		parts, ok := w.store[storeKey{jobID: jobID, mapTask: mapTask}]
-		w.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("rpcmr: local map output %d/%d missing", jobID, mapTask)
-		}
-		return parts[partition], nil
-	}
-	client, err := w.peer(addr)
-	if err != nil {
-		return nil, err
-	}
-	var reply FetchReply
-	err = client.Call("Worker.FetchPartition", &FetchArgs{JobID: jobID, MapTaskID: mapTask, Partition: partition}, &reply)
-	if err != nil {
-		w.dropPeer(addr)
-		return nil, err
-	}
-	return reply.Pairs, nil
-}
-
-func (w *Worker) peer(addr string) (*rpc.Client, error) {
-	w.peersMu.Lock()
-	defer w.peersMu.Unlock()
-	if c, ok := w.peers[addr]; ok {
-		return c, nil
-	}
-	c, err := dialWorker(addr)
-	if err != nil {
-		return nil, err
-	}
-	w.peers[addr] = c
-	return c, nil
-}
-
-func (w *Worker) dropPeer(addr string) {
-	w.peersMu.Lock()
-	if c, ok := w.peers[addr]; ok {
-		c.Close()
-		delete(w.peers, addr)
-	}
-	w.peersMu.Unlock()
-}
-
-// workerRPC is the worker's RPC surface for the master and peer workers.
+// workerRPC is the worker's RPC surface for the master.
 type workerRPC struct {
 	w *Worker
-}
-
-// FetchPartition serves one partition of a stored map output (the legacy
-// gob shuffle; the streaming transport serves the same store).
-func (r *workerRPC) FetchPartition(args *FetchArgs, reply *FetchReply) error {
-	pairs, err := r.w.partitionForShuffle(args.JobID, args.MapTaskID, args.Partition)
-	if err != nil {
-		return err
-	}
-	reply.Pairs = pairs
-	return nil
 }
 
 // Cleanup drops a job's intermediate data.

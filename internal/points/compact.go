@@ -40,22 +40,16 @@ func (c *Matrix32) Data() []float32 { return c.data[:c.n*c.dim] }
 // MaxAbs returns the largest |coordinate| of the float64 source block.
 func (c *Matrix32) MaxAbs() float64 { return c.maxAbs }
 
-// SetFlat fills the mirror from a flat float64 block of n rows of dim.
-func (c *Matrix32) SetFlat(data []float64, dim int) {
-	n := 0
-	if dim > 0 {
-		n = len(data) / dim
-	}
-	c.dim, c.n = dim, n
+// Set fills the mirror from m's coordinate block.
+func (c *Matrix32) Set(m *Matrix) {
+	data := m.Data()
+	c.dim, c.n = m.Dim(), m.N()
 	if cap(c.data) < len(data) {
 		c.data = make([]float32, len(data))
 	}
 	c.data = c.data[:len(data)]
 	c.maxAbs = downTo32(c.data, data)
 }
-
-// Set fills the mirror from m's coordinate block.
-func (c *Matrix32) Set(m *Matrix) { c.SetFlat(m.Data(), m.Dim()) }
 
 // downTo32 converts src into dst (same length) and returns the largest
 // absolute source value. NaNs contribute nothing to the maximum.
@@ -78,7 +72,7 @@ func ToFloat32(src []float64) ([]float32, float64) {
 	return dst, maxAbs
 }
 
-// matrix32Pool recycles Matrix32 backing arrays across reducer groups, like
+// matrix32Pool recycles Matrix32 backing arrays across kNN-join buckets, like
 // matrixPool does for the float64 decode path.
 var matrix32Pool = sync.Pool{New: func() any { return new(Matrix32) }}
 

@@ -18,9 +18,10 @@
 // an eighth of the bytes), collect a provably sufficient shortlist, and
 // re-rank it exactly in float64 (internal/kernels compact scan path), so
 // labels, NN indices, distances, and the tie rule are bit-identical across
-// precisions. Micro-batches additionally run their exact scans through the
-// multi-query NNBatch kernels: one pass over each row tile serves the whole
-// batch.
+// precisions. The compact scans feed a kernels.TopKShortlist at k = 1.
+// Micro-batches additionally run their exact scans through the multi-query
+// batch kernels (NNBatch, TopKBatch32, TopKBatchQ8): one pass over each row
+// tile serves the whole batch.
 //
 // The HTTP server in server.go fronts the engine with micro-batching of
 // concurrent requests, a bounded admission queue with load shedding,
@@ -176,7 +177,7 @@ type scratch struct {
 	cand  []int32
 	qids  []int32 // per-layout interned key IDs of the query (fleet mode)
 	q32   []float32
-	sl    kernels.Shortlist
+	sl    kernels.TopKShortlist
 	lut   kernels.Q8LUT
 }
 
@@ -187,7 +188,7 @@ type batchScratch struct {
 	flat32  []float32
 	best    []int32
 	best2   []float64
-	sls     []kernels.Shortlist
+	sls     []kernels.TopKShortlist
 	luts    []kernels.Q8LUT
 }
 
@@ -663,12 +664,12 @@ func (e *Engine) nnRows(q points.Vector, cand []int32, s *scratch) (best int, be
 	switch e.prec {
 	case PrecF32:
 		s.q32 = f32Append(s.q32[:0], q)
-		s.sl.Reset(e.f32Bounds(q))
-		kernels.NNRows32(e.data32, dim, s.q32, cand, &s.sl)
+		s.sl.Reset(1, e.f32Bounds(q))
+		kernels.TopKRows32(e.data32, dim, s.q32, cand, &s.sl)
 	case PrecQ8:
 		kernels.BuildQ8LUT(e.q8par, q, &s.lut)
-		s.sl.Reset(e.q8bnd)
-		kernels.NNRowsQ8(e.q8, dim, &s.lut, cand, &s.sl)
+		s.sl.Reset(1, e.q8bnd)
+		kernels.TopKRowsQ8(e.q8, dim, &s.lut, cand, &s.sl)
 	default:
 		b, b2 := kernels.NNRows(e.m.Data, dim, q, cand)
 		return b, b2, 0
@@ -695,18 +696,18 @@ func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignme
 		bnd := e.f32Bounds(bs.flat)
 		bs.sls = slsN(bs.sls, np)
 		for i := range bs.sls {
-			bs.sls[i].Reset(bnd)
+			bs.sls[i].Reset(1, bnd)
 		}
-		kernels.NNBatch32(e.data32, dim, bs.flat32, 0, n, bs.sls)
+		kernels.TopKBatch32(e.data32, dim, bs.flat32, 0, n, bs.sls)
 		e.rerankBatch(qs, bs, st)
 	case PrecQ8:
 		bs.sls = slsN(bs.sls, np)
 		bs.luts = lutsN(bs.luts, np)
 		for i, qi := range bs.pending {
 			kernels.BuildQ8LUT(e.q8par, qs[qi], &bs.luts[i])
-			bs.sls[i].Reset(e.q8bnd)
+			bs.sls[i].Reset(1, e.q8bnd)
 		}
-		kernels.NNBatchQ8(e.q8, dim, bs.luts, 0, n, bs.sls)
+		kernels.TopKBatchQ8(e.q8, dim, bs.luts, 0, n, bs.sls)
 		e.rerankBatch(qs, bs, st)
 	default:
 		kernels.NNBatch(e.m.Data, dim, bs.flat, 0, n, bs.best, bs.best2)
@@ -775,9 +776,9 @@ func floatsN(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func slsN(s []kernels.Shortlist, n int) []kernels.Shortlist {
+func slsN(s []kernels.TopKShortlist, n int) []kernels.TopKShortlist {
 	if cap(s) < n {
-		ns := make([]kernels.Shortlist, n)
+		ns := make([]kernels.TopKShortlist, n)
 		copy(ns, s[:cap(s)])
 		return ns
 	}
